@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -103,7 +101,6 @@ func TestJobsDecisionLogGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full jobs experiment; skipped under -short")
 	}
-	golden := filepath.Join("testdata", "jobs_fifo_decisions.golden.jsonl")
 	ot := obs.New()
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
@@ -130,29 +127,5 @@ func TestJobsDecisionLogGolden(t *testing.T) {
 	if rt := decision.AppendLog(nil, recs); !bytes.Equal(rt, got) {
 		t.Fatal("decision lines do not round-trip to identical bytes")
 	}
-	if os.Getenv("UPDATE_SCHED_GOLDEN") != "" {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %d bytes", len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with UPDATE_SCHED_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-		n := len(gl)
-		if len(wl) < n {
-			n = len(wl)
-		}
-		for i := 0; i < n; i++ {
-			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("decision log diverges at line %d:\n got: %s\nwant: %s",
-					i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("decision log length differs: got %d lines, want %d", len(gl), len(wl))
-	}
+	checkGolden(t, "jobs_fifo_decisions.golden.jsonl", got)
 }

@@ -65,35 +65,7 @@ func TestJobsReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full jobs experiment; skipped under -short")
 	}
-	golden := filepath.Join("testdata", "jobs_fifo_report.golden.txt")
-	got := jobsFIFOReport(t)
-	if os.Getenv("UPDATE_SCHED_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %d bytes", len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with UPDATE_SCHED_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-		n := len(gl)
-		if len(wl) < n {
-			n = len(wl)
-		}
-		for i := 0; i < n; i++ {
-			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("report diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("report length differs: got %d lines, want %d", len(gl), len(wl))
-	}
+	checkGolden(t, "jobs_fifo_report.golden.txt", jobsFIFOReport(t))
 }
 
 // TestReportExperimentSelfDemo smoke-tests the ccexp report experiment's
