@@ -30,10 +30,10 @@
 //
 //	ccexp -experiment jobs -events events.jsonl -serve :9090 -slo-strict
 //
-// -stream turns the -events log into a pass-through: events are written to
-// disk as they happen and never retained in memory, so very large runs (the
-// workload experiment at scale) log in bounded memory with unchanged bytes.
-// It conflicts with -trace and -explain, which need retained state.
+// The -events log is always written through as events happen, so very
+// large runs (the workload experiment at scale) log in bounded memory. The
+// run is held in memory only for -trace, -explain and -serve, which read it
+// back in process.
 //
 // The workload experiment generates a multi-tenant job stream
 // (internal/workload) and sweeps its arrival rate; -workload overrides the
@@ -95,8 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	policy := fl.String("policy", "", "cluster scheduling policy for the queued-workload experiments: "+policyList()+" (\"\" = fifo; sched-policies sweeps all)")
 	explainJob := fl.Int("job", -1, "explain experiment: submission index of the job to attribute (-1 = the longest-waiting job)")
 	explainK := fl.String("k", "", "explain experiment: comma-separated policy set to replay under; first entry is the factual policy (\"\" = fifo,easy-backfill)")
-	traceOut := fl.String("trace", "", "write Chrome trace-event JSON (Perfetto) here; needs exactly one experiment")
-	metricsOut := fl.String("metrics", "", "write the metrics-registry dump here; needs exactly one experiment")
 	wlSpec := fl.String("workload", "", "workload experiment: generation overrides as \"jobs=50000,rate=2,rates=0.5;1;2,horizon=600,seed=7,policy=priority\"")
 	wlOut := fl.String("trace-out", "", "workload experiment: record the generated stream as a repro.workload.v1 trace here (single base-rate run)")
 	wlIn := fl.String("trace-in", "", "workload experiment: replay this repro.workload.v1 trace instead of generating (single run)")
@@ -163,15 +161,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		runners = append(runners, r)
 	}
-	if (*traceOut != "" || *metricsOut != "" || tele.Any()) && len(runners) != 1 {
+	if tele.Any() && len(runners) != 1 {
 		fmt.Fprintf(stderr, "ccexp: -trace/-metrics/-events/-serve/-dash/-slo need exactly one experiment (got %d)\n", len(runners))
 		return 2
 	}
-	if tele.Stream && *traceOut != "" {
-		fmt.Fprintf(stderr, "ccexp: -stream and -trace conflict (the Perfetto export needs retained spans)\n")
-		return 2
-	}
-	if *traceOut != "" || *metricsOut != "" || tele.Any() {
+	if tele.Any() {
 		cfg.Obs = obs.New()
 	}
 	plane, err := tele.Attach(cfg.Obs, stderr)
@@ -209,19 +203,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *wlOut != "" {
 		fmt.Fprintf(stderr, "(workload trace recorded to %s)\n", *wlOut)
 	}
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, cfg.Obs); err != nil {
-			fmt.Fprintf(stderr, "ccexp: trace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "(trace: %d spans -> %s; open at ui.perfetto.dev)\n", cfg.Obs.NumSpans(), *traceOut)
-	}
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(cfg.Obs.Metrics().Dump()), 0o644); err != nil {
-			fmt.Fprintf(stderr, "ccexp: metrics: %v\n", err)
-			return 1
-		}
-	}
 	viol, err := plane.Finish()
 	if err != nil {
 		fmt.Fprintf(stderr, "ccexp: %v\n", err)
@@ -237,19 +218,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	plane.ServeForever()
 	return 0
-}
-
-// writeTrace exports the tracer's spans as Chrome trace-event JSON.
-func writeTrace(path string, ot *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ot.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // policyList renders the registered scheduling policies for flag help.

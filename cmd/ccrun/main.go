@@ -98,10 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		readBackoff = fl.Float64("read-backoff", 0, "extra wait per reissue (s)")
 		rebalRounds = fl.Int("rebalance-rounds", 0, "split the read into rounds, replanning domains around flagged-slow OSTs; 0|1 = off")
 
-		// Observability (see internal/obs).
-		traceOut   = fl.String("trace", "", "write Chrome trace-event JSON (Perfetto) of the run here")
-		metricsOut = fl.String("metrics", "", "write the metrics-registry dump here")
-
 		// Workload traces (see internal/workload).
 		wlOut = fl.String("trace-out", "", "record the queued path's submission stream as a repro.workload.v1 trace here (climate workload, cc mode, default -cb)")
 		wlIn  = fl.String("trace-in", "", "replay a repro.workload.v1 workload trace through the cluster scheduler and exit (workload/op/region flags are ignored)")
@@ -131,14 +127,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("need steps or ny >= procs to split the domain")
 	}
 
-	// finishRun ends either path: write -trace/-metrics, tear down the
-	// telemetry plane, apply -slo-strict, then keep serving under -serve.
+	// finishRun ends either path: tear down the telemetry plane (writing
+	// -trace/-metrics), apply -slo-strict, then keep serving under -serve.
 	var ot *obs.Tracer
 	var plane *obscli.Plane
 	finishRun := func() int {
-		if code := writeObsOutputs(stderr, fail, ot, *traceOut, *metricsOut); code != 0 {
-			return code
-		}
 		viol, err := plane.Finish()
 		if err != nil {
 			return fail("%v", err)
@@ -154,10 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if tele.Stream && *traceOut != "" {
-		return fail("-stream and -trace conflict (the Perfetto export needs retained spans)")
-	}
-	if *traceOut != "" || *metricsOut != "" || tele.Any() {
+	if tele.Any() {
 		ot = obs.New()
 	}
 	if plane, err = tele.Attach(ot, stderr); err != nil {
@@ -429,31 +419,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			st.IOTimeouts, st.IORetries, st.BackoffSeconds, st.Rebalances, st.FlaggedSlowOSTs)
 	}
 	return finishRun()
-}
-
-// writeObsOutputs writes the -trace and -metrics files (both optional) at the
-// end of a run, shared by the direct and queued paths.
-func writeObsOutputs(stderr io.Writer, fail func(string, ...interface{}) int, ot *obs.Tracer, traceOut, metricsOut string) int {
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return fail("trace: %v", err)
-		}
-		if err := ot.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return fail("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			return fail("trace: %v", err)
-		}
-		fmt.Fprintf(stderr, "(trace: %d spans -> %s; open at ui.perfetto.dev)\n", ot.NumSpans(), traceOut)
-	}
-	if metricsOut != "" {
-		if err := os.WriteFile(metricsOut, []byte(ot.Metrics().Dump()), 0o644); err != nil {
-			return fail("metrics: %v", err)
-		}
-	}
-	return 0
 }
 
 func safeDiv(a, b int64) float64 {

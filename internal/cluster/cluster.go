@@ -329,11 +329,6 @@ func (c *Cluster) finishObs() {
 		shares := m.GaugeVec("cluster_tenant_share_pct", "tenant")
 		for _, tn := range tenants {
 			shares.With(labelOrDefault(tn)).Set(100 * c.tenantUse[tn] / totUse)
-			// Deprecated name-suffix alias, kept for one release so existing
-			// BENCH/nightly greps keep working; the labeled family above is
-			// the supported form.
-			m.Gauge("cluster_tenant_share_pct_" + metricLabel(tn)).
-				Set(100 * c.tenantUse[tn] / totUse)
 		}
 	}
 	c.mirrorTotals()
@@ -358,21 +353,6 @@ func (c *Cluster) mirrorTotals() {
 	m.Counter("pfs_requests").Set(float64(c.fs.Requests))
 	m.Counter("pfs_timeouts").Set(float64(c.fs.Timeouts))
 	m.Counter("pfs_retries").Set(float64(c.fs.Retries))
-	if c.memo != nil {
-		// Gauges, not counters: MemoStats is a point-in-time cache picture
-		// (dashboard tile + exporter family memo_*), and gauge semantics keep
-		// the family honest if a future cache ever evicts. These unlabeled
-		// mirrors are deprecated aliases of the labeled memo_events{kind}
-		// family (mirrorLabeled), kept for one release.
-		s := c.memo.stats
-		m.Gauge("memo_hits").Set(float64(s.Hits))
-		m.Gauge("memo_waiters").Set(float64(s.Waiters))
-		m.Gauge("memo_coalesced").Set(float64(s.Coalesced))
-		m.Gauge("memo_misses").Set(float64(s.Misses))
-		m.Gauge("memo_bytes_saved").Set(float64(s.BytesSaved))
-		m.Gauge("memo_invalidations").Set(float64(s.Invalidations))
-		m.Gauge("memo_evictions").Set(float64(s.Evictions))
-	}
 	c.mirrorLabeled(m)
 }
 
@@ -434,7 +414,7 @@ func (c *Cluster) publishTelemetry(now float64, queueDepth, ranksBusy int) {
 		OSTReadLat: c.fs.OSTReadLatency(),
 		Reg:        ot.Metrics().Snapshot(),
 		SLO:        slo.Status(),
-		Decisions:  ot.DecisionsSnapshot(),
+		Decisions:  ot.Recorder().Decisions(),
 	})
 }
 

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -99,6 +101,7 @@ func TestDecisionLogTwoRunsByteIdentical(t *testing.T) {
 		ot := obs.New()
 		sink := obs.NewJSONLSink(&buf)
 		ot.SetSink(sink)
+		rec := ot.AttachRecorder()
 		ot.EnableDecisions()
 		c, _ := decisionWorkload(ot)
 		if _, err := c.Run(); err != nil {
@@ -107,7 +110,7 @@ func TestDecisionLogTwoRunsByteIdentical(t *testing.T) {
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), decision.AppendLog(nil, ot.Decisions())
+		return buf.Bytes(), decision.AppendLog(nil, rec.Decisions())
 	}
 	log1, dec1 := run()
 	log2, dec2 := run()
@@ -164,6 +167,7 @@ func TestDecisionRecordsMatchEventInstants(t *testing.T) {
 			ot := obs.New()
 			sink := obs.NewJSONLSink(&buf)
 			ot.SetSink(sink)
+			rec := ot.AttachRecorder()
 			ot.EnableDecisions()
 			c := build(t, ot)
 			if _, err := c.Run(); err != nil {
@@ -176,7 +180,7 @@ func TestDecisionRecordsMatchEventInstants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs := ot.Decisions()
+			recs := rec.Decisions()
 
 			seen := map[string]int{}
 			for _, ev := range evs {
@@ -247,4 +251,70 @@ func TestDecisionRecordsMatchEventInstants(t *testing.T) {
 		memoWorkload(c)
 		return c
 	}, []string{"memo-hit", "memo-wait", "coalesce-attach"})
+}
+
+// TestLiveDecisionsEndpoint serves a run's live cell over HTTP. A scraper
+// polls /decisions while the simulation appends to the recorder (the race
+// detector checks the published prefixes are never written); afterwards
+// the final round's frame carries the whole decision stream as an
+// immutable prefix, and /decisions serves exactly those records.
+func TestLiveDecisionsEndpoint(t *testing.T) {
+	ot := obs.New()
+	live := obs.NewLive()
+	ot.SetLive(live)
+	rec := ot.AttachRecorder()
+	ot.EnableDecisions()
+	srv := httptest.NewServer(obs.TelemetryHandler(live))
+	defer srv.Close()
+	fetch := func() ([]decision.Record, error) {
+		resp, err := srv.Client().Get(srv.URL + "/decisions")
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Decisions []decision.Record `json:"decisions"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		return body.Decisions, err
+	}
+	stop, scraped := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
+			}
+			if _, err := fetch(); err != nil {
+				scraped <- err
+				return
+			}
+		}
+	}()
+	c, _ := decisionWorkload(ot)
+	_, err := c.Run()
+	close(stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+	f := live.Latest()
+	if f == nil || len(f.Decisions) == 0 || cap(f.Decisions) != len(f.Decisions) {
+		t.Fatalf("final frame decisions: %v", f)
+	}
+	want := decision.AppendLog(nil, rec.Decisions())
+	if !bytes.Equal(decision.AppendLog(nil, f.Decisions), want) {
+		t.Fatal("final frame does not carry the whole recorded decision stream")
+	}
+	got, err := fetch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(decision.AppendLog(nil, got), want) {
+		t.Fatalf("/decisions served %d records, want the %d published", len(got), len(f.Decisions))
+	}
 }

@@ -51,6 +51,7 @@ func TestJobResultSentinels(t *testing.T) {
 func obsCluster(t *testing.T, ranks, maxConc int) (*Cluster, *obs.Tracer) {
 	t.Helper()
 	ot := obs.New()
+	ot.AttachRecorder()
 	c := New(Spec{Ranks: ranks, RanksPerNode: 2, MaxConcurrent: maxConc, Obs: ot})
 	ds, _, err := climate.NewDataset3D(c.FS(), []int64{16, 32, 32}, 8, 1<<20)
 	if err != nil {
@@ -80,13 +81,13 @@ func TestClusterTraceEmission(t *testing.T) {
 
 	count := map[string]int{}
 	pidOf := map[string]map[int]bool{}
-	ot.EachSpan(func(sv obs.SpanView) {
-		count[sv.Name]++
-		if pidOf[sv.Name] == nil {
-			pidOf[sv.Name] = map[int]bool{}
+	for _, sp := range obs.Spans(ot.Recorder().Events()) {
+		count[sp.Name]++
+		if pidOf[sp.Name] == nil {
+			pidOf[sp.Name] = map[int]bool{}
 		}
-		pidOf[sv.Name][sv.PID] = true
-	})
+		pidOf[sp.Name][sp.PID] = true
+	}
 	for _, name := range []string{"queued", "run", "cc.get", "cc.map",
 		"cc.reduce", "adio.iter", "adio.read", "pfs.read", "mpi.send",
 		"mpi.recv", "mpi.bcast"} {
@@ -105,7 +106,7 @@ func TestClusterTraceEmission(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := ot.WriteChromeTrace(&buf); err != nil {
+	if err := ot.WriteChromeTrace(&buf, ot.Recorder().Events()); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {
@@ -223,7 +224,7 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := ot.WriteChromeTrace(&buf); err != nil {
+		if err := ot.WriteChromeTrace(&buf, ot.Recorder().Events()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String(), ot.Metrics().Dump()

@@ -450,26 +450,6 @@ func (q *Queue) complete(jr *JobResult) {
 		float64(len(jr.Ranks)) * ((jr.End - jr.Start) - jr.Job.EstCost)
 }
 
-// metricLabel sanitizes a tenant name into a metric-name suffix: lowercase
-// [a-z0-9_], everything else mapped to '_'; the empty tenant (direct
-// cluster submissions) becomes "default".
-func metricLabel(tenant string) string {
-	if tenant == "" {
-		return "default"
-	}
-	b := []byte(tenant)
-	for i, ch := range b {
-		switch {
-		case ch >= 'a' && ch <= 'z', ch >= '0' && ch <= '9', ch == '_':
-		case ch >= 'A' && ch <= 'Z':
-			b[i] = ch - 'A' + 'a'
-		default:
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
-
 // SchedStats summarizes the scheduling policy's activity over a run; only
 // the easy-backfill policy populates it.
 type SchedStats struct {

@@ -55,14 +55,15 @@ func explainJobs(s jobsSetup) []cluster.CCJob {
 
 // runExplain executes the explain mix under one policy with decision tracing
 // enabled, returning the per-job results (indexed by submission seq), the
-// run's decision records, and the makespan. A nil tracer gets a fresh one —
-// replay and counterfactual runs must not pollute the factual trace.
-func runExplain(s jobsSetup, policy string, ot *obs.Tracer) ([]*cluster.CCResult, []decision.Record, float64, error) {
+// recorder holding the run's events and decision records, and the makespan.
+// ot must be unused; a nil tracer gets a fresh one — replay and
+// counterfactual runs must not pollute the factual trace.
+func runExplain(s jobsSetup, policy string, ot *obs.Tracer) ([]*cluster.CCResult, *obs.Recorder, float64, error) {
 	if ot == nil {
 		ot = obs.New()
 	}
 	ot.EnableDecisions()
-	nbefore := len(ot.Decisions())
+	rec := ot.AttachRecorder()
 	s.policy = policy
 	cl, err := s.machine(s.nranks, 0, ot)
 	if err != nil {
@@ -85,8 +86,7 @@ func runExplain(s jobsSetup, policy string, ot *obs.Tracer) ([]*cluster.CCResult
 			return nil, nil, 0, fmt.Errorf("policy %s: %s: %w", policy, cr.Job.Name, cr.Err)
 		}
 	}
-	recs := append([]decision.Record(nil), ot.Decisions()[nbefore:]...)
-	return crs, recs, cl.Now(), nil
+	return crs, rec, cl.Now(), nil
 }
 
 // explainPolicies resolves the -k flag: comma-separated, first entry is the
@@ -111,23 +111,23 @@ func explainPolicies(spec string) ([]string, error) {
 	return pols, nil
 }
 
-// explainWaterfall folds the factual trace's spans into the target job's
+// explainWaterfall folds the factual run's spans into the target job's
 // phase waterfall: wall queue wait, then rank-seconds per runtime phase in
 // pipeline order (pfs time is the portion of adio.read spent in the parallel
 // file system; mpi.* collapses into one transport bucket).
-func explainWaterfall(ot *obs.Tracer, cr *cluster.CCResult) string {
+func explainWaterfall(events []obs.Event, cr *cluster.CCResult) string {
 	phases := map[string]float64{}
 	pid := cr.TracePID()
-	ot.EachSpan(func(sv obs.SpanView) {
-		if sv.PID != pid {
-			return
+	for _, sp := range obs.Spans(events) {
+		if sp.PID != pid {
+			continue
 		}
-		name := sv.Name
+		name := sp.Name
 		if strings.HasPrefix(name, "mpi.") {
 			name = "mpi"
 		}
-		phases[name] += sv.End - sv.Start
-	})
+		phases[name] += sp.Dur
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "queued %.4fs", cr.QueueWait())
 	for _, ph := range []struct{ span, label string }{
@@ -160,20 +160,21 @@ func Explain(cfg Config) (*Table, error) {
 	if ot == nil {
 		ot = obs.New()
 	}
-	factCrs, factRecs, factSpan, err := runExplain(s, factual, ot)
+	factCrs, factRec, factSpan, err := runExplain(s, factual, ot)
 	if err != nil {
 		return nil, err
 	}
+	factRecs := factRec.Decisions()
 
 	// Replay: fork the recorded submission stream through a fresh machine
 	// under the factual policy. The decision log must be byte-identical and
 	// every job's start/end bit-identical — the counterfactual deltas below
 	// are only meaningful if the factual schedule is exactly reproducible.
-	repCrs, repRecs, _, err := runExplain(s, factual, nil)
+	repCrs, repRec, _, err := runExplain(s, factual, nil)
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.Equal(decision.AppendLog(nil, factRecs), decision.AppendLog(nil, repRecs)) {
+	if !bytes.Equal(decision.AppendLog(nil, factRecs), decision.AppendLog(nil, repRec.Decisions())) {
 		return nil, fmt.Errorf("explain: replay decision log diverged from the recorded run")
 	}
 	for i := range factCrs {
@@ -267,7 +268,7 @@ func Explain(cfg Config) (*Table, error) {
 			t.Notef("%s would have started it at the same time", pol)
 		}
 	}
-	t.Notef("waterfall: %s", explainWaterfall(ot, tcr))
+	t.Notef("waterfall: %s", explainWaterfall(factRec.Events(), tcr))
 	t.Notef("replay under %s reproduced the recorded schedule and all %d decision records byte-identically",
 		factual, len(factRecs))
 	t.Notef("%d jobs (%d wide w%d batch, %d narrow w%d interactive) on %d ranks under %s",

@@ -17,14 +17,16 @@ type jobPhases struct {
 // ProfileJobs runs the mixed-analysis serving workload concurrently under a
 // span tracer and renders what the trace shows: a per-job phase breakdown
 // (read / map / shuffle / reduce rank-seconds) plus the critical path of the
-// queue — the chain of jobs that determined the makespan. With `ccexp
-// -trace`, the same tracer's spans are exported for Perfetto.
+// queue — the chain of jobs that determined the makespan. The spans are
+// folded from the tracer's recorded event stream; with `ccexp -trace`, the
+// same stream is exported for Perfetto.
 func ProfileJobs(cfg Config) (*Table, error) {
 	s := newJobsSetup(cfg)
 	ot := cfg.Obs
 	if ot == nil {
 		ot = obs.New()
 	}
+	rec := ot.AttachRecorder()
 	cl, err := s.machine(s.nranks, 0, ot)
 	if err != nil {
 		return nil, err
@@ -45,18 +47,19 @@ func ProfileJobs(cfg Config) (*Table, error) {
 		jrs[i] = cr.JobResult
 	}
 
-	// Fold span durations into per-job phase totals. Jobs are keyed by their
-	// trace pid; the four phase names never overlap in time on one rank, so
-	// the sums partition each rank's busy time without double counting.
+	// Fold span durations into per-job phase totals, in creation order. Jobs
+	// are keyed by their trace pid; the four phase names never overlap in
+	// time on one rank, so the sums partition each rank's busy time without
+	// double counting.
 	byPID := make(map[int]*jobPhases)
-	ot.EachSpan(func(sv obs.SpanView) {
-		ph := byPID[sv.PID]
+	for _, sp := range obs.Spans(rec.Events()) {
+		ph := byPID[sp.PID]
 		if ph == nil {
 			ph = &jobPhases{}
-			byPID[sv.PID] = ph
+			byPID[sp.PID] = ph
 		}
-		d := sv.End - sv.Start
-		switch sv.Name {
+		d := sp.Dur
+		switch sp.Name {
 		case "adio.read":
 			ph.read += d
 		case "cc.map":
@@ -66,7 +69,7 @@ func ProfileJobs(cfg Config) (*Table, error) {
 		case "cc.reduce":
 			ph.reduce += d
 		}
-	})
+	}
 
 	t := &Table{
 		ID:    "profile-jobs",

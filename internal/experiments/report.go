@@ -42,6 +42,9 @@ func ReportExp(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.ReportIn == "" {
+		d.EventsPath = "self-demo/events.jsonl" // not the temp dir: stdout stays byte-identical
+	}
 	var b strings.Builder
 	if err := report.Build(d, cfg.ReportTopK).WriteText(&b); err != nil {
 		return nil, err

@@ -88,13 +88,14 @@ func TestJobsChromeTraceGolden(t *testing.T) {
 		t.Skip("full jobs experiment; skipped under -short")
 	}
 	ot := obs.New()
+	rec := ot.AttachRecorder()
 	cfg := cliQuick
 	cfg.Obs = ot
 	if _, err := Jobs(cfg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ot.WriteChromeTrace(&buf); err != nil {
+	if err := ot.WriteChromeTrace(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "jobs_fifo_trace.golden.json", buf.Bytes())

@@ -259,34 +259,6 @@ func FormatRanks(ranks []int) string {
 	return b.String()
 }
 
-// ParseRanks parses a FormatRanks string back into the ascending rank list.
-func ParseRanks(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		lo, hi, found := strings.Cut(part, "-")
-		a, err := strconv.Atoi(lo)
-		if err != nil {
-			return nil, fmt.Errorf("decision: bad rank set %q: %w", s, err)
-		}
-		b := a
-		if found {
-			if b, err = strconv.Atoi(hi); err != nil {
-				return nil, fmt.Errorf("decision: bad rank set %q: %w", s, err)
-			}
-		}
-		if b < a {
-			return nil, fmt.Errorf("decision: bad rank range %q in %q", part, s)
-		}
-		for v := a; v <= b; v++ {
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------------
 // Wait attribution
 

@@ -151,14 +151,11 @@ func TestAlertGetsSpanAndEvent(t *testing.T) {
 	if len(sink.events) != 1 || sink.events[0].E != "alert" {
 		t.Fatalf("events %+v", sink.events)
 	}
-	n := 0
-	tr.EachSpan(func(sv SpanView) {
-		n++
-		if sv.Cat != "slo" || sv.Start != 2.5 || sv.End != 2.5 {
-			t.Fatalf("alert span %+v", sv)
-		}
-	})
-	if n != 1 {
-		t.Fatalf("%d spans, want 1", n)
+	spans := Spans(sink.events)
+	if len(spans) != 1 {
+		t.Fatalf("%d spans, want 1", len(spans))
+	}
+	if sp := spans[0]; sp.Cat != "slo" || sp.Start != 2.5 || sp.Dur != 0 || sp.ClosedAt != 0 {
+		t.Fatalf("alert span %+v", sp)
 	}
 }

@@ -8,17 +8,19 @@ import (
 	"strconv"
 )
 
-// WriteChromeTrace exports the span store as Chrome trace-event JSON (the
-// format Perfetto and chrome://tracing load): process/thread metadata first
-// (sorted), then every span as a complete "X" event in creation order, then
-// counter samples as "C" events. Timestamps and durations are microseconds
-// of virtual time with fixed 3-decimal formatting, so the same run produces
-// byte-identical output.
+// WriteChromeTrace exports a recorded event stream as Chrome trace-event
+// JSON (the format Perfetto and chrome://tracing load): the tracer's
+// process/thread names first (sorted), then every span rebuilt by Spans as a
+// complete "X" event in creation order, then the "sample" events as "C"
+// counter events. Timestamps and durations are microseconds of virtual time
+// with fixed 3-decimal formatting, so the same run produces byte-identical
+// output. The events usually come from the tracer's Recorder; a nil tracer
+// exports them without track names.
 //
 // Layout: pid 0 is the cluster scheduler (one tid per job showing its
 // queued/run intervals, plus counter tracks); pid j+1 is job j with one tid
 // per world rank showing cc/adio/pfs/mpi detail.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+func (t *Tracer) WriteChromeTrace(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
 	first := true
@@ -64,49 +66,47 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			bw.Write(jsonStr(t.threads[k]))
 			bw.WriteString("}}")
 		}
-		for i := range t.spans {
-			sp := &t.spans[i]
-			dur := sp.end - sp.start
-			if dur < 0 {
-				dur = 0 // never-closed span
-			}
-			sep()
-			bw.WriteString("{\"ph\":\"X\",\"name\":")
-			bw.Write(jsonStr(sp.name))
-			bw.WriteString(",\"cat\":")
-			bw.Write(jsonStr(sp.cat))
-			bw.WriteString(",\"pid\":")
-			bw.WriteString(strconv.Itoa(sp.pid))
-			bw.WriteString(",\"tid\":")
-			bw.WriteString(strconv.Itoa(sp.tid))
-			bw.WriteString(",\"ts\":")
-			bw.WriteString(usec(sp.start))
-			bw.WriteString(",\"dur\":")
-			bw.WriteString(usec(dur))
-			if len(sp.attrs) > 0 {
-				bw.WriteString(",\"args\":{")
-				for j, a := range sp.attrs {
-					if j > 0 {
-						bw.WriteString(",")
-					}
-					bw.Write(jsonStr(a.Key))
-					bw.WriteString(":")
-					bw.Write(jsonStr(a.Val))
+	}
+	for _, sp := range Spans(events) {
+		sep()
+		bw.WriteString("{\"ph\":\"X\",\"name\":")
+		bw.Write(jsonStr(sp.Name))
+		bw.WriteString(",\"cat\":")
+		bw.Write(jsonStr(sp.Cat))
+		bw.WriteString(",\"pid\":")
+		bw.WriteString(strconv.Itoa(sp.PID))
+		bw.WriteString(",\"tid\":")
+		bw.WriteString(strconv.Itoa(sp.TID))
+		bw.WriteString(",\"ts\":")
+		bw.WriteString(usec(sp.Start))
+		bw.WriteString(",\"dur\":")
+		bw.WriteString(usec(sp.Dur))
+		if len(sp.Attrs) > 0 {
+			bw.WriteString(",\"args\":{")
+			for j, a := range sp.Attrs {
+				if j > 0 {
+					bw.WriteString(",")
 				}
-				bw.WriteString("}")
+				bw.Write(jsonStr(a.Key))
+				bw.WriteString(":")
+				bw.Write(jsonStr(a.Val))
 			}
 			bw.WriteString("}")
 		}
-		for _, cs := range t.samples {
-			sep()
-			bw.WriteString("{\"ph\":\"C\",\"name\":")
-			bw.Write(jsonStr(cs.name))
-			bw.WriteString(",\"pid\":0,\"tid\":0,\"ts\":")
-			bw.WriteString(usec(cs.ts))
-			bw.WriteString(",\"args\":{\"value\":")
-			bw.WriteString(strconv.FormatFloat(cs.val, 'g', -1, 64))
-			bw.WriteString("}}")
+		bw.WriteString("}")
+	}
+	for _, ev := range events {
+		if ev.E != "sample" {
+			continue
 		}
+		sep()
+		bw.WriteString("{\"ph\":\"C\",\"name\":")
+		bw.Write(jsonStr(ev.Name))
+		bw.WriteString(",\"pid\":0,\"tid\":0,\"ts\":")
+		bw.WriteString(usec(ev.T))
+		bw.WriteString(",\"args\":{\"value\":")
+		bw.WriteString(strconv.FormatFloat(ev.Value, 'g', -1, 64))
+		bw.WriteString("}}")
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()

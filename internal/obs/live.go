@@ -46,8 +46,9 @@ type Frame struct {
 	Reg *Registry
 	// SLO is the rule engine's status at this round (nil when no engine).
 	SLO []SLOStatus
-	// Decisions is the scheduler decision stream recorded so far (nil unless
-	// decision tracing is enabled) — the /decisions endpoint's payload.
+	// Decisions is the scheduler decision stream recorded so far, an
+	// immutable prefix of the tracer's Recorder (nil unless decision tracing
+	// is on and a recorder is attached) — the /decisions endpoint's payload.
 	Decisions []decision.Record
 }
 

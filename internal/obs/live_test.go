@@ -1,18 +1,22 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/obs/decision"
 )
 
 func publishFrame(l *Live, now float64, depth, busy int) {
 	reg := NewRegistry()
 	reg.Counter("pfs_read_bytes").Set(1 << 20)
-	reg.Gauge("memo_hits").Set(2)
-	reg.Gauge("memo_misses").Set(1)
+	memo := reg.GaugeVec("memo_events", "kind")
+	memo.With("hits").Set(2)
+	memo.With("misses").Set(1)
 	h := reg.Histogram("cluster_queue_wait_seconds", 0.01, 0.1, 1)
 	h.Observe(0.05)
 	l.Publish(&Frame{
@@ -106,7 +110,7 @@ func TestTelemetryHandlerEndpoints(t *testing.T) {
 	if err := lintPromText([]byte(body)); err != nil {
 		t.Fatalf("scrape does not lint: %v\n%s", err, body)
 	}
-	for _, want := range []string{"pfs_read_bytes 1.048576e+06", "memo_hits 2",
+	for _, want := range []string{"pfs_read_bytes 1.048576e+06", `memo_events{kind="hits"} 2`,
 		`cluster_queue_wait_seconds_bucket{le="+Inf"} 1`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -143,7 +147,7 @@ func TestRenderDashboard(t *testing.T) {
 		"queue wait", // quantile tile from the snapshot histogram
 		"ost read lat",
 		"3 osts",
-		"memo  hits 2  misses 1", // memo tile from memo_* gauges
+		"memo  hits 2  misses 1", // memo tile from the memo_events{kind} family
 		"hit-rate 66.7%",
 		"slo  [ok  ] wait",
 	} {
@@ -174,5 +178,53 @@ func TestTracerTelemetryAccessors(t *testing.T) {
 	tr.SetSLO(s)
 	if tr.Live() != l || tr.SLOEngine() != s {
 		t.Fatal("accessors do not round-trip")
+	}
+}
+
+// TestDecisionsEndpointServesPublishedRound: /decisions serves exactly the
+// decision records published with the latest frame — the recorder's prefix
+// at that round — even while the recorder keeps appending past it.
+func TestDecisionsEndpointServesPublishedRound(t *testing.T) {
+	rec := &Recorder{}
+	l := NewLive()
+	srv := httptest.NewServer(TelemetryHandler(l))
+	defer srv.Close()
+	fetch := func() []decision.Record {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/decisions")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Schema    string            `json:"schema"`
+			Decisions []decision.Record `json:"decisions"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if body.Schema != decision.Schema {
+			t.Fatalf("schema %q, want %q", body.Schema, decision.Schema)
+		}
+		return body.Decisions
+	}
+	if got := fetch(); len(got) != 0 {
+		t.Fatalf("%d records before the first frame", len(got))
+	}
+	for round := 1; round <= 3; round++ {
+		for seq := 0; seq < round; seq++ {
+			rec.EmitDecision(decision.Record{Round: round, T: float64(round), Policy: "fifo",
+				Job: "j", Seq: seq, Outcome: decision.Skip, Reason: decision.InsufficientRanks,
+				BlockedBySeq: -1, Width: 2, Free: 1})
+		}
+		published := rec.Decisions()
+		l.Publish(&Frame{Now: float64(round), Reg: NewRegistry(), Decisions: published})
+		// Recorded after the publish: belongs to the next round's frame.
+		rec.EmitDecision(decision.Record{Round: round + 1, Policy: "fifo", Job: "late",
+			Outcome: decision.Admit, BlockedBySeq: -1})
+		got := fetch()
+		if want := decision.AppendLog(nil, published); !bytes.Equal(decision.AppendLog(nil, got), want) {
+			t.Fatalf("round %d: /decisions served %d records, want the %d published", round, len(got), len(published))
+		}
 	}
 }

@@ -2,8 +2,15 @@
 // virtual-clock span tracer plus a typed metrics registry that every layer
 // (cluster, cc, adio, pfs, mpi) emits into. Spans nest scheduler → job → cc
 // phase → adio iteration → pfs request / mpi message and carry string
-// attributes; the whole store exports deterministically to Chrome
-// trace-event JSON (loadable in Perfetto) and to a stable text metrics dump.
+// attributes.
+//
+// The tracer is emit-only: every span, instant, counter sample and decision
+// record goes to its event sink as it happens and none is kept. There is one
+// recorded stream per run, and every view of it is a fold over []Event
+// (Spans): the Chrome trace-event export (loadable in Perfetto), the span
+// tables of the experiments, and the offline run report. The events come from
+// a Recorder attached in process when a consumer needs them, or from
+// ReadEvents on a JSONL log; the fold cannot tell the two apart.
 //
 // Everything is driven by the deterministic simulation clock, so the same
 // program produces byte-identical exports on every run.
@@ -43,48 +50,27 @@ func F(key string, v float64) Attr {
 // zero id without branching.
 type SpanID int
 
-type span struct {
-	name, cat  string
-	pid, tid   int
-	start, end float64 // end < start marks a still-open span
-	attrs      []Attr
-}
-
-// SpanView is a read-only view of one recorded span, for analysis passes
-// (e.g. the profile-jobs per-phase breakdown).
-type SpanView struct {
-	Name, Cat  string
-	PID, TID   int
-	Start, End float64
-	Attrs      []Attr
-}
-
-type counterSample struct {
-	name    string
-	ts, val float64
-}
-
 type threadKey struct{ pid, tid int }
 
-// Tracer is the span store. Create with New; share one instance across the
-// whole run (the cluster binds world ranks to job pids as jobs are admitted,
-// so rank-routed spans land in the right Perfetto process).
+// Tracer is the emitting side of the telemetry plane. Create with New; share
+// one instance across the whole run (the cluster binds world ranks to job
+// pids as jobs are admitted, so rank-routed spans land in the right Perfetto
+// process). It holds no per-span, per-sample or per-decision state, so its
+// memory stays bounded however long the run.
 type Tracer struct {
 	reg     *Registry
-	spans   []span
-	nSpans  int // spans recorded (logical; == len(spans) unless streaming)
-	stream  bool
+	nSpans  int // span IDs handed out: begin, span, instant and alert each take one
 	procs   map[int]string
 	threads map[threadKey]string
-	samples []counterSample
 	curPID  []int // world rank -> bound pid (0 = cluster/unbound)
 	kindCtr [trace.NumKinds]*Counter
 
 	// Telemetry plane (all optional; see events.go, live.go, slo.go). The
-	// sink mirrors spans/instants/counter samples as they are recorded; the
-	// live cell and SLO engine are driven by the cluster at scheduler round
-	// boundaries.
+	// sink receives spans/instants/counter samples as they are recorded (with
+	// the recorder teed in beside it when one is attached); the live cell and
+	// SLO engine are driven by the cluster at scheduler round boundaries.
 	sink   EventSink
+	rec    *Recorder
 	live   *Live
 	slo    *SLO
 	series *SeriesSink
@@ -92,8 +78,7 @@ type Tracer struct {
 	// Decision tracing (see internal/obs/decision): opt-in, because decision
 	// records land in the event log and default-off keeps existing golden
 	// event logs byte-stable.
-	decOn     bool
-	decisions []decision.Record
+	decOn bool
 }
 
 // New returns an empty, enabled tracer with a fresh metrics registry.
@@ -128,34 +113,45 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // SetSink installs an event sink: from now on every span begin/end, complete
 // span, instant, counter sample, and SLO alert recorded through the tracer
 // is mirrored into sink in emission order (see events.go). Nil removes it.
+// An attached Recorder stays attached beside the new sink.
 func (t *Tracer) SetSink(sink EventSink) {
 	if t == nil {
 		return
 	}
 	t.sink = sink
-}
-
-// SetStreaming switches the tracer to stream-through mode: spans, counter
-// samples, and decision records are mirrored into the event sink as usual
-// but are NOT retained in memory, so a million-job run with a JSONLSink
-// holds O(1) trace state instead of growing without bound. Span IDs come
-// from a logical counter that matches retained-mode numbering exactly, so
-// the emitted event log is byte-identical either way.
-//
-// Enable it before recording (the CLIs do, right after installing the
-// sink). In-memory consumers see an empty store: EachSpan visits nothing,
-// Decisions/DecisionsSnapshot are empty, and the Chrome trace export is
-// empty — so streaming is incompatible with -trace and -explain, which the
-// CLIs reject. The metrics registry aggregates in place and stays available.
-func (t *Tracer) SetStreaming(on bool) {
-	if t == nil {
-		return
+	if t.rec != nil {
+		t.sink = tee(sink, t.rec)
 	}
-	t.stream = on
 }
 
-// Streaming reports whether stream-through mode is on (false on nil).
-func (t *Tracer) Streaming() bool { return t != nil && t.stream }
+// AttachRecorder tees an in-memory Recorder in beside the current sink and
+// returns it; later calls return the same recorder. Attach it before the
+// first event, and only when a consumer needs the run in memory (the
+// Perfetto export, a span table, the -explain attribution, live /decisions):
+// the recorder is the one place a run is held.
+func (t *Tracer) AttachRecorder() *Recorder {
+	if t == nil {
+		return nil
+	}
+	if t.rec == nil {
+		t.rec = &Recorder{}
+		t.sink = tee(t.sink, t.rec)
+	}
+	return t.rec
+}
+
+// Recorder returns the attached recorder (nil on a nil tracer or when none
+// is attached; a nil *Recorder reads as empty).
+func (t *Tracer) Recorder() *Recorder {
+	if t == nil {
+		return nil
+	}
+	return t.rec
+}
+
+// SetStreaming is a no-op kept for source compatibility: the tracer always
+// streams, retaining nothing, and in-memory consumers attach a Recorder.
+func (t *Tracer) SetStreaming(bool) {}
 
 // SetLive installs the live frame cell the owning runtime publishes
 // telemetry snapshots into (see live.go).
@@ -177,7 +173,7 @@ func (t *Tracer) Live() *Live {
 
 // SetSeries installs the time-series sink the owning runtime samples one
 // SeriesPoint into per scheduler round (see series.go). The sink streams
-// and retains nothing, so it is safe under stream-through mode.
+// and retains nothing.
 func (t *Tracer) SetSeries(s *SeriesSink) {
 	if t == nil {
 		return
@@ -210,10 +206,9 @@ func (t *Tracer) SLOEngine() *SLO {
 	return t.slo
 }
 
-// EnableDecisions turns on scheduler decision tracing: Decision() calls are
-// recorded (and mirrored into the event sink, when it understands them)
-// from now on. Off by default so event logs only carry decision lines when
-// explicitly asked for (-explain / -serve).
+// EnableDecisions turns on scheduler decision tracing: Decision() calls
+// reach the event sink from now on. Off by default so event logs only carry
+// decision lines when explicitly asked for (-explain / -serve).
 func (t *Tracer) EnableDecisions() {
 	if t == nil {
 		return
@@ -224,38 +219,16 @@ func (t *Tracer) EnableDecisions() {
 // DecisionsEnabled reports whether decision tracing is on (false on nil).
 func (t *Tracer) DecisionsEnabled() bool { return t != nil && t.decOn }
 
-// Decision records one scheduler decision: appended to the in-memory stream
-// (Decisions) and mirrored into the event sink when the sink implements
-// decision.Sink (the JSONL sink does). A no-op unless EnableDecisions was
-// called.
+// Decision emits one scheduler decision into the event sink when the sink
+// implements decision.Sink (the JSONL sink and the Recorder do, alone or teed). A
+// no-op unless EnableDecisions was called.
 func (t *Tracer) Decision(rec decision.Record) {
 	if t == nil || !t.decOn {
 		return
 	}
-	if !t.stream {
-		t.decisions = append(t.decisions, rec)
-	}
 	if ds, ok := t.sink.(decision.Sink); ok {
 		ds.EmitDecision(rec)
 	}
-}
-
-// Decisions returns the recorded decision stream in emission order. The
-// slice is owned by the tracer; copy before mutating.
-func (t *Tracer) Decisions() []decision.Record {
-	if t == nil {
-		return nil
-	}
-	return t.decisions
-}
-
-// DecisionsSnapshot returns a copy of the decision stream, safe to hand to
-// concurrent readers (live telemetry frames).
-func (t *Tracer) DecisionsSnapshot() []decision.Record {
-	if t == nil || len(t.decisions) == 0 {
-		return nil
-	}
-	return append([]decision.Record(nil), t.decisions...)
 }
 
 // Metrics returns the tracer's registry (nil on a nil tracer; the registry's
@@ -321,10 +294,6 @@ func (t *Tracer) Begin(pid, tid int, name, cat string, start float64, attrs ...A
 	}
 	t.nSpans++
 	id := SpanID(t.nSpans)
-	if !t.stream {
-		t.spans = append(t.spans, span{name: name, cat: cat, pid: pid, tid: tid,
-			start: start, end: start - 1, attrs: attrs})
-	}
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "begin", ID: int(id), T: start, PID: pid, TID: tid,
 			Name: name, Cat: cat, Attrs: attrs})
@@ -337,9 +306,6 @@ func (t *Tracer) End(id SpanID, end float64) {
 	if t == nil || id <= 0 {
 		return
 	}
-	if int(id) <= len(t.spans) {
-		t.spans[id-1].end = end
-	}
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "end", ID: int(id), T: end})
 	}
@@ -349,10 +315,6 @@ func (t *Tracer) End(id SpanID, end float64) {
 func (t *Tracer) AddAttr(id SpanID, attrs ...Attr) {
 	if t == nil || id <= 0 {
 		return
-	}
-	if int(id) <= len(t.spans) {
-		sp := &t.spans[id-1]
-		sp.attrs = append(sp.attrs, attrs...)
 	}
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "attr", ID: int(id), Attrs: attrs})
@@ -365,10 +327,6 @@ func (t *Tracer) Span(pid, tid int, name, cat string, start, end float64, attrs 
 		return
 	}
 	t.nSpans++
-	if !t.stream {
-		t.spans = append(t.spans, span{name: name, cat: cat, pid: pid, tid: tid,
-			start: start, end: end, attrs: attrs})
-	}
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "span", T: start, Dur: end - start, PID: pid, TID: tid,
 			Name: name, Cat: cat, Attrs: attrs})
@@ -397,10 +355,6 @@ func (t *Tracer) Instant(pid, tid int, name, cat string, ts float64, attrs ...At
 		return
 	}
 	t.nSpans++
-	if !t.stream {
-		t.spans = append(t.spans, span{name: name, cat: cat, pid: pid, tid: tid,
-			start: ts, end: ts, attrs: attrs})
-	}
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "instant", T: ts, PID: pid, TID: tid,
 			Name: name, Cat: cat, Attrs: attrs})
@@ -413,27 +367,19 @@ func (t *Tracer) Counter(name string, ts, val float64) {
 	if t == nil {
 		return
 	}
-	if !t.stream {
-		t.samples = append(t.samples, counterSample{name: name, ts: ts, val: val})
-	}
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "sample", T: ts, Name: name, Value: val})
 	}
 }
 
-// Alert records an SLO rule firing: an instant span on the scheduler track
-// (cat "slo", visible in Perfetto) plus an "alert" event in the event log.
-// The span store is appended directly so the alert is not double-mirrored as
-// an "instant" event.
+// Alert records an SLO rule firing as an "alert" event in the event log;
+// Spans renders it as an instant on the scheduler track (cat "slo", visible
+// in Perfetto).
 func (t *Tracer) Alert(name string, ts float64, attrs ...Attr) {
 	if t == nil {
 		return
 	}
 	t.nSpans++
-	if !t.stream {
-		t.spans = append(t.spans, span{name: name, cat: "slo", pid: 0, tid: 0,
-			start: ts, end: ts, attrs: attrs})
-	}
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "alert", T: ts, Name: name, Attrs: attrs})
 	}
@@ -449,27 +395,10 @@ func (t *Tracer) Record(rank int, kind trace.Kind, t0, t1 float64) {
 	t.kindCtr[kind].Add(t1 - t0)
 }
 
-// NumSpans returns how many spans have been recorded (including spans not
-// retained in stream-through mode).
+// NumSpans returns how many spans have been recorded.
 func (t *Tracer) NumSpans() int {
 	if t == nil {
 		return 0
 	}
 	return t.nSpans
-}
-
-// EachSpan calls fn for every recorded span in creation order.
-func (t *Tracer) EachSpan(fn func(SpanView)) {
-	if t == nil {
-		return
-	}
-	for i := range t.spans {
-		sp := &t.spans[i]
-		end := sp.end
-		if end < sp.start {
-			end = sp.start // never-closed span: render as zero-duration
-		}
-		fn(SpanView{Name: sp.name, Cat: sp.cat, PID: sp.pid, TID: sp.tid,
-			Start: sp.start, End: end, Attrs: sp.attrs})
-	}
 }

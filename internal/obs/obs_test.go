@@ -26,7 +26,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Instant(0, 0, "a", "b", 0)
 	tr.Counter("c", 0, 1)
 	tr.Record(0, trace.Compute, 0, 1)
-	tr.EachSpan(func(SpanView) { t.Fatal("span on nil tracer") })
+	if tr.AttachRecorder() != nil || tr.Recorder().Events() != nil {
+		t.Fatal("recorder on nil tracer")
+	}
 	if tr.NumSpans() != 0 {
 		t.Fatal("spans on nil tracer")
 	}
@@ -37,7 +39,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatalf("nil registry dump %q", got)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var v map[string]interface{}
@@ -70,13 +72,16 @@ func TestDisabledZeroAlloc(t *testing.T) {
 
 func TestRankBindingRoutesSpans(t *testing.T) {
 	tr := New()
+	rec := tr.AttachRecorder()
 	tr.SpanRank(2, "before", "c", 0, 1)
 	tr.BindRank(2, 5)
 	tr.SpanRank(2, "during", "c", 1, 2)
 	tr.UnbindRank(2)
 	tr.SpanRank(2, "after", "c", 2, 3)
 	pids := map[string]int{}
-	tr.EachSpan(func(sv SpanView) { pids[sv.Name] = sv.PID })
+	for _, sp := range Spans(rec.Events()) {
+		pids[sp.Name] = sp.PID
+	}
 	if pids["before"] != 0 || pids["during"] != 5 || pids["after"] != 0 {
 		t.Fatalf("pids %v", pids)
 	}
@@ -84,22 +89,25 @@ func TestRankBindingRoutesSpans(t *testing.T) {
 
 func TestOpenSpanAndAttrs(t *testing.T) {
 	tr := New()
+	rec := tr.AttachRecorder()
 	id := tr.Begin(1, 0, "run", "sched", 2.5, S("job", "a"))
 	tr.AddAttr(id, S("err", "boom"))
 	tr.End(id, 4.5)
-	var got SpanView
-	tr.EachSpan(func(sv SpanView) { got = sv })
-	if got.Start != 2.5 || got.End != 4.5 || len(got.Attrs) != 2 {
+	tr.AddAttr(id, S("late", "yes")) // after End: still merges
+	spans := Spans(rec.Events())
+	if len(spans) != 1 {
+		t.Fatalf("%d spans, want 1", len(spans))
+	}
+	if got := spans[0]; got.Start != 2.5 || got.Dur != 2 || len(got.Attrs) != 3 || got.ClosedAt != 2 {
 		t.Fatalf("span %+v", got)
 	}
 	// A never-closed span renders as zero duration.
 	tr2 := New()
+	rec2 := tr2.AttachRecorder()
 	tr2.Begin(0, 0, "open", "c", 3)
-	tr2.EachSpan(func(sv SpanView) {
-		if sv.End != sv.Start {
-			t.Fatalf("open span end %g, want %g", sv.End, sv.Start)
-		}
-	})
+	if sp := Spans(rec2.Events())[0]; sp.Dur != 0 || sp.ClosedAt != -1 {
+		t.Fatalf("open span %+v, want zero duration and never closed", sp)
+	}
 }
 
 func TestRecordAccumulatesKindCounters(t *testing.T) {
@@ -169,6 +177,7 @@ func TestHistogramStats(t *testing.T) {
 
 func buildTrace() *Tracer {
 	tr := New()
+	tr.AttachRecorder()
 	tr.SetProcessName(0, "cluster")
 	tr.SetProcessName(1, "job:sum-0")
 	tr.SetThreadName(1, 3, "rank 3")
@@ -186,11 +195,11 @@ func buildTrace() *Tracer {
 
 func TestChromeTraceExport(t *testing.T) {
 	var b1, b2 bytes.Buffer
-	if err := buildTrace().WriteChromeTrace(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildTrace().WriteChromeTrace(&b2); err != nil {
-		t.Fatal(err)
+	for _, b := range []*bytes.Buffer{&b1, &b2} {
+		tr := buildTrace()
+		if err := tr.WriteChromeTrace(b, tr.Recorder().Events()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatal("export not byte-identical across identical builds")

@@ -129,7 +129,7 @@ func buildMetricsRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("pfs_read_bytes").Add(1 << 20)
 	r.Counter("cluster_jobs_submitted").Set(8)
-	r.Gauge("memo_hits").Set(3)
+	r.GaugeVec("memo_events", "kind").With("hits").Set(3)
 	r.Gauge("cluster_makespan_seconds").Set(1.5)
 	h := r.Histogram("cluster_queue_wait_seconds", 0.001, 0.01, 0.1, 1)
 	h.Observe(0.005)
@@ -159,7 +159,7 @@ func TestWriteOpenMetricsLintsClean(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE pfs_read_bytes counter\npfs_read_bytes 1.048576e+06\n",
-		"# TYPE memo_hits gauge\nmemo_hits 3\n",
+		"# TYPE memo_events gauge\nmemo_events{kind=\"hits\"} 3\n",
 		`cluster_queue_wait_seconds_bucket{le="0.1"} 2`,
 		`cluster_queue_wait_seconds_bucket{le="+Inf"} 3`,
 		"cluster_queue_wait_seconds_count 3\n",

@@ -14,7 +14,7 @@ import (
 // aligned) into a SeriesSink, which streams versioned JSONL. Like the event
 // log, the serialization is byte-deterministic — identical seeded runs
 // produce identical series files — and the sink retains nothing, so it
-// composes with -stream's bounded-memory contract at million-job scale.
+// stays bounded-memory at million-job scale.
 
 // SeriesSchema is the versioned identifier written in the series header
 // line. Readers reject files whose header names a different schema.

@@ -258,8 +258,8 @@ func (s *SLO) Rules() []SLORule {
 }
 
 // Eval evaluates every rule against t's registry at virtual time now. A rule
-// that stops holding fires exactly once: an alert is recorded through t
-// (instant span + "alert" event) and the violation is retained. Safe to call
+// that stops holding fires exactly once: an "alert" event is emitted
+// through t (Spans renders it as an instant) and the violation is retained. Safe to call
 // from the simulation only — the engine is not locked.
 func (s *SLO) Eval(t *Tracer, now float64) {
 	if s == nil {

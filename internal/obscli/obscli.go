@@ -1,14 +1,21 @@
 // Package obscli wires the telemetry plane (internal/obs) into a CLI: it
-// registers the shared flag set (-events, -series, -serve, -dash, -slo,
-// -slo-strict, -explain, -report), attaches the requested sinks to a tracer
-// before the run, and tears them down — flushing the event and series logs,
+// registers the shared flag set (-trace, -metrics, -events, -series,
+// -serve, -dash, -slo, -slo-strict, -explain, -report), attaches the
+// requested sinks to a tracer before the run, and tears them down — writing
+// the Perfetto trace and metrics dump, flushing the event and series logs,
 // rendering the final dashboard frame, reporting SLO violations, printing
 // the per-job wait attribution, generating the offline run report — after
 // it. Both ccexp and ccrun use it, so the two commands expose identical
 // telemetry surfaces.
+//
+// It is also the one place that decides whether a run is held in memory:
+// an obs.Recorder is attached beside the event log only for -trace,
+// -explain and -serve, the consumers that read the run back in process.
+// Without them the tracer streams and keeps nothing.
 package obscli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,9 +43,10 @@ func (l *RuleList) Set(v string) error {
 
 // Flags is the telemetry flag set shared by the CLIs.
 type Flags struct {
+	Trace   string
+	Metrics string
 	Events  string
 	Series  string
-	Stream  bool
 	Serve   string
 	Dash    bool
 	Rules   RuleList
@@ -49,12 +57,14 @@ type Flags struct {
 
 // Register installs the telemetry flags on fl.
 func (f *Flags) Register(fl *flag.FlagSet) {
+	fl.StringVar(&f.Trace, "trace", "",
+		"write Chrome trace-event JSON (Perfetto) of the run here")
+	fl.StringVar(&f.Metrics, "metrics", "",
+		"write the metrics-registry dump here")
 	fl.StringVar(&f.Events, "events", "",
 		"write the structured JSONL event log here (byte-identical across identical runs)")
 	fl.StringVar(&f.Series, "series", "",
-		"write the round-aligned repro.series.v1 time-series log here (queue depth, ranks busy, per-OST utilization, per-class wait quantiles; byte-identical across identical runs; composes with -stream)")
-	fl.BoolVar(&f.Stream, "stream", false,
-		"stream spans/samples/decisions through to -events without retaining them in memory (bounded-memory event logging for very large runs; the log bytes are unchanged, but -trace and -explain need retained state and conflict)")
+		"write the round-aligned repro.series.v1 time-series log here (queue depth, ranks busy, per-OST utilization, per-class wait quantiles; byte-identical across identical runs)")
 	fl.StringVar(&f.Serve, "serve", "",
 		"serve live telemetry (/metrics, /healthz, /jobs) on this address, e.g. :9090; keeps serving after the run until interrupted")
 	fl.BoolVar(&f.Dash, "dash", false,
@@ -70,34 +80,17 @@ func (f *Flags) Register(fl *flag.FlagSet) {
 }
 
 // Any reports whether any telemetry flag was set — the signal to install an
-// obs.Tracer even when -trace/-metrics did not ask for one.
+// obs.Tracer.
 func (f *Flags) Any() bool {
-	return f.Events != "" || f.Series != "" || f.Serve != "" || f.Dash ||
+	return f.Trace != "" || f.Metrics != "" || f.Events != "" || f.Series != "" || f.Serve != "" || f.Dash ||
 		len(f.Rules) > 0 || f.Strict || f.Explain || f.Report != ""
 }
 
 // Validate rejects flag combinations that cannot work: -report is an
-// offline pass over the -events log, so it needs one; -stream keeps no
-// in-memory state, so everything that reads the tracer's stores after the
-// run (-explain attribution, the /decisions snapshot via -serve) conflicts,
-// and without -events there would be nowhere to stream to. -series
-// deliberately composes with -stream: the series sink writes each point
-// straight to disk and retains nothing.
+// offline pass over the -events log, so it needs one.
 func (f *Flags) Validate() error {
 	if f.Report != "" && f.Events == "" {
 		return fmt.Errorf("-report needs -events (the report is rendered from the recorded event log)")
-	}
-	if !f.Stream {
-		return nil
-	}
-	if f.Events == "" {
-		return fmt.Errorf("-stream needs -events (it streams the event log through to disk)")
-	}
-	if f.Explain {
-		return fmt.Errorf("-stream and -explain conflict: the wait attribution needs retained decision records")
-	}
-	if f.Serve != "" {
-		return fmt.Errorf("-stream and -serve conflict: /decisions and live frames need retained state")
 	}
 	return nil
 }
@@ -110,6 +103,9 @@ const dashInterval = 250 * time.Millisecond
 // Plane is the attached telemetry plane of one run. Create with
 // Flags.Attach, call Finish exactly once after the run.
 type Plane struct {
+	f          Flags
+	ot         *obs.Tracer
+	rec        *obs.Recorder
 	sink       *obs.JSONLSink
 	eventsFile *os.File
 	series     *obs.SeriesSink
@@ -120,19 +116,13 @@ type Plane struct {
 	dashStop   chan struct{}
 	dashDone   chan struct{}
 	stderr     io.Writer
-	ot         *obs.Tracer
-	explain    bool
-	eventsPath string
-	seriesPath string
-	reportPath string
 }
 
 // Attach installs the requested telemetry components on ot and starts the
 // background consumers (HTTP server, dashboard ticker). On error everything
 // already opened is torn down.
 func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
-	p := &Plane{stderr: stderr, ot: ot, explain: f.Explain,
-		eventsPath: f.Events, seriesPath: f.Series, reportPath: f.Report}
+	p := &Plane{f: *f, ot: ot, stderr: stderr}
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
@@ -170,8 +160,8 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 		p.series = obs.NewSeriesSink(file)
 		ot.SetSeries(p.series)
 	}
-	if f.Stream {
-		ot.SetStreaming(true)
+	if f.Trace != "" || f.Explain || f.Serve != "" {
+		p.rec = ot.AttachRecorder()
 	}
 	if len(f.Rules) > 0 || f.Strict {
 		rules := make([]obs.SLORule, 0, len(f.Rules))
@@ -219,69 +209,73 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 	return p, nil
 }
 
-// Finish tears the plane down after the run: stops the dashboard (rendering
-// the final frame once more, plainly), flushes and closes the event log, and
-// prints SLO violations to stderr. It returns the violations — the caller
-// decides what -slo-strict means for its exit code — and the first event-log
-// write error.
+// Finish tears the plane down after the run: writes the -trace and
+// -metrics files, stops the dashboard (rendering the final frame once more,
+// plainly), flushes and closes the event and series logs, renders the
+// -report, prints SLO violations and the -explain attribution to stderr. It
+// returns the violations — the caller decides what -slo-strict means for
+// its exit code — and the first write error.
 func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 	if p == nil {
 		return nil, nil
+	}
+	var err error
+	keep := func(what string, e error) {
+		if e != nil && err == nil {
+			err = fmt.Errorf("%s: %w", what, e)
+		}
+	}
+	if p.f.Trace != "" {
+		keep("trace", writeFile(p.f.Trace, func(w io.Writer) error {
+			return p.ot.WriteChromeTrace(w, p.rec.Events())
+		}))
+		if err == nil {
+			fmt.Fprintf(p.stderr, "(trace: %d spans -> %s; open at ui.perfetto.dev)\n", p.ot.NumSpans(), p.f.Trace)
+		}
+	}
+	if p.f.Metrics != "" && err == nil {
+		keep("metrics", os.WriteFile(p.f.Metrics, []byte(p.ot.Metrics().Dump()), 0o644))
 	}
 	if p.dashStop != nil {
 		close(p.dashStop)
 		<-p.dashDone
 		fmt.Fprint(p.stderr, obs.RenderDashboard(p.live))
 	}
-	var err error
 	if p.sink != nil {
-		err = p.sink.Close()
-		if cerr := p.eventsFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			err = fmt.Errorf("events: %w", err)
-		}
+		keep("events", errors.Join(p.sink.Close(), p.eventsFile.Close()))
 	}
 	if p.series != nil {
-		serr := p.series.Close()
-		if cerr := p.seriesFile.Close(); serr == nil {
-			serr = cerr
-		}
-		if serr != nil && err == nil {
-			err = fmt.Errorf("series: %w", serr)
-		}
+		keep("series", errors.Join(p.series.Close(), p.seriesFile.Close()))
 	}
-	if p.reportPath != "" && err == nil {
-		if rerr := p.writeReport(); rerr != nil && err == nil {
-			err = fmt.Errorf("report: %w", rerr)
+	if p.f.Report != "" && err == nil {
+		keep("report", writeFile(p.f.Report, func(w io.Writer) error {
+			return report.Run(w, p.f.Events, p.f.Series, 0)
+		}))
+		if err == nil {
+			fmt.Fprintf(p.stderr, "(report: written to %s)\n", p.f.Report)
 		}
 	}
 	viol := p.slo.Violations()
 	for _, v := range viol {
 		fmt.Fprintf(p.stderr, "(%s)\n", v)
 	}
-	if p.explain {
-		for _, a := range decision.Attribute(p.ot.Decisions()) {
+	if p.f.Explain {
+		for _, a := range decision.Attribute(p.rec.Decisions()) {
 			fmt.Fprintf(p.stderr, "(explain: %s)\n", a)
 		}
 	}
 	return viol, err
 }
 
-// writeReport renders the offline run report from the just-closed event
-// (and series) logs into the -report file.
-func (p *Plane) writeReport() error {
-	f, err := os.Create(p.reportPath)
+// writeFile creates path and fills it with write, returning the first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = report.Run(f, p.eventsPath, p.seriesPath, 0)
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
-	}
-	if err == nil {
-		fmt.Fprintf(p.stderr, "(report: written to %s)\n", p.reportPath)
 	}
 	return err
 }

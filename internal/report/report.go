@@ -129,13 +129,19 @@ type Report struct {
 
 // job is the per-submission state folded out of the event stream.
 type job struct {
-	tid           int
-	name          string
 	tenant, class string
 	wait          float64
-	queued        bool
-	dropped       bool
-	miss          bool
+	dropped, miss bool
+}
+
+// attr returns the value of the first attribute named key ("" if none).
+func attr(attrs []obs.Attr, key string) string {
+	for _, a := range attrs {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return ""
 }
 
 // Build folds the loaded logs into a report. topK bounds the slow-job table
@@ -151,82 +157,64 @@ func Build(d *Data, topK int) *Report {
 	var ph Phases
 	jobs := map[int]*job{} // tid -> submission
 	var tids []int         // first-appearance order
-	type open struct {
-		t   float64
-		cat string
-		tid int
-		run bool
-	}
-	begins := map[int]open{} // event ID -> open begin
 	makespan := 0.0
 	alerts := 0
-	attr := func(ev obs.Event, key string) string {
-		for _, a := range ev.Attrs {
-			if a.Key == key {
-				return a.Val
-			}
+	for _, ev := range d.Events {
+		if t := ev.T + ev.Dur; t > makespan {
+			makespan = t
 		}
-		return ""
+		if ev.E == "alert" {
+			alerts++
+		}
 	}
 	jobAt := func(tid int) *job {
 		j := jobs[tid]
 		if j == nil {
-			j = &job{tid: tid}
+			j = &job{}
 			jobs[tid] = j
 			tids = append(tids, tid)
 		}
 		return j
 	}
-	bucket := func(cat, name string, dur float64) {
-		switch cat {
-		case "sched":
-			if name == "queued" {
-				ph.Queued += dur
-			}
-		case "pfs":
-			ph.PFS += dur
-		case "mpi":
-			ph.Fabric += dur
-		case "cc", "adio":
-			ph.Compute += dur
+	// Walk the spans in the order they finished — the order a streaming
+	// reader sees them — so the phase sums are the same floats a one-pass
+	// fold of the log would produce.
+	spans := obs.Spans(d.Events)
+	closed := make([]int32, len(d.Events)) // event index -> 1 + index of the span it closed
+	for i, sp := range spans {
+		if sp.ClosedAt >= 0 {
+			closed[sp.ClosedAt] = int32(i + 1)
 		}
 	}
-	for _, ev := range d.Events {
-		if t := ev.T + ev.Dur; t > makespan {
-			makespan = t
+	for _, k := range closed {
+		if k == 0 {
+			continue
 		}
-		switch ev.E {
-		case "span":
-			bucket(ev.Cat, ev.Name, ev.Dur)
-			if ev.Cat == "sched" && ev.Name == "queued" {
-				j := jobAt(ev.TID)
-				j.queued = true
-				j.name = attr(ev, "job")
-				j.tenant = attr(ev, "tenant")
-				j.class = attr(ev, "class")
-				j.wait = ev.Dur
+		sp := &spans[k-1]
+		switch sp.Cat {
+		case "sched":
+			switch sp.Name {
+			case "queued":
+				ph.Queued += sp.Dur
+				j := jobAt(sp.TID)
+				j.tenant = attr(sp.Attrs, "tenant")
+				j.class = attr(sp.Attrs, "class")
+				j.wait = sp.Dur
+			case "deadline-drop":
+				jobAt(sp.TID).dropped = true
 			}
-		case "begin":
-			begins[ev.ID] = open{
-				t: ev.T, cat: ev.Cat, tid: ev.TID,
-				run: ev.Cat == "sched" && ev.Name == "run",
-			}
-		case "end":
-			if b, ok := begins[ev.ID]; ok {
-				if !b.run {
-					bucket(b.cat, "", ev.T-b.t)
-				}
-			}
-		case "attr":
-			if b, ok := begins[ev.ID]; ok && b.run && attr(ev, "deadline_miss") != "" {
-				jobAt(b.tid).miss = true
-			}
-		case "instant":
-			if ev.Cat == "sched" && ev.Name == "deadline-drop" {
-				jobAt(ev.TID).dropped = true
-			}
-		case "alert":
-			alerts++
+		case "pfs":
+			ph.PFS += sp.Dur
+		case "mpi":
+			ph.Fabric += sp.Dur
+		case "cc", "adio":
+			ph.Compute += sp.Dur
+		}
+	}
+	// The scheduler marks a deadline miss on the run span after closing it.
+	for _, sp := range spans {
+		if sp.Cat == "sched" && sp.Name == "run" && attr(sp.Attrs, "deadline_miss") != "" {
+			jobAt(sp.TID).miss = true
 		}
 	}
 
